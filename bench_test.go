@@ -10,6 +10,10 @@ package stochsynth_test
 
 import (
 	"fmt"
+	"net"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -571,6 +575,61 @@ func BenchmarkScenarioPlesa(b *testing.B)         { scenarioEngineBenches(b, "pl
 func BenchmarkScenarioRepressilator(b *testing.B) { scenarioEngineBenches(b, "repressilator") }
 func BenchmarkScenarioSchlogl(b *testing.B)       { scenarioEngineBenches(b, "schlogl") }
 func BenchmarkScenarioToggle(b *testing.B)        { scenarioEngineBenches(b, "toggle") }
+
+// BenchmarkShardRoundTripToggle measures the fleet's per-shard fixed
+// cost on the toggle scenario's wire-v3 dist sweep: tiny shards (10
+// trials per grid point) dispatched one at a time, as sweepd does by
+// default, through a RemotePool to an in-process shard.Serve worker on
+// loopback TCP, each result fsync'd into a fresh journal. Everything a
+// shard costs end to end — encode, frame, decode, validate, compile, run,
+// encode back, check, journal — lands in ns/shard and allocs/shard
+// (allocations of both the coordinator and the worker side).
+func BenchmarkShardRoundTripToggle(b *testing.B) {
+	s, ok := scenario.ByName("toggle")
+	if !ok {
+		b.Fatal("toggle scenario not in library")
+	}
+	spec, err := s.SweepSpec()
+	if err != nil {
+		b.Fatal(err)
+	}
+	const shards = 40
+	spec.Trials = 10 * shards
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := shard.Serve(ln, shard.NewRegistry())
+	defer srv.Close()
+	pool, err := shard.NewRemotePool([]string{srv.Addr().String()}, shard.RemoteOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Close()
+	run := pool.Runner()
+	dir := b.TempDir()
+	sweep := func(i int) {
+		path := filepath.Join(dir, fmt.Sprintf("sweep-%d.jrnl", i))
+		if _, err := shard.ResumeCoordinate(spec, path, shards, run, shard.Options{Parallel: 1}); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.Remove(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sweep(-1) // dial, handshake and fill the worker's caches
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep(i)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N) * shards
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/shard")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/shard")
+}
 
 // BenchmarkTrialsNaturalBatchReuse is the trial-lockstep batch counterpart
 // of BenchmarkTrialsNaturalOptimizedReuse: Model.CharacterizeBatch drives

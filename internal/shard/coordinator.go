@@ -140,9 +140,15 @@ func stderrSuffix(stderr *bytes.Buffer) string {
 
 // Options tunes Coordinate.
 type Options struct {
-	// Parallel bounds concurrently dispatched shards; 0 dispatches all at
-	// once (each in-process shard still parallelises internally, so use
-	// Parallel with LocalRunner to avoid oversubscription).
+	// Parallel bounds the shards dispatched to the Runner at once; 0
+	// dispatches all at once (each in-process shard still parallelises
+	// internally, so use Parallel with LocalRunner to avoid
+	// oversubscription). A shard gives up its slot as soon as its result
+	// passes the coverage check, so with a journal the next dispatch
+	// overlaps this shard's fsync; the shard counts as done only after
+	// the fsync. Up to 16 finished shards (or Parallel, if larger) may
+	// wait for the journal; past that, a finished shard keeps its slot
+	// until the journal catches up.
 	Parallel int
 	// Retries is how many times a failing shard is re-dispatched before
 	// its range is reported missing.
@@ -154,6 +160,12 @@ type Options struct {
 	// dispatch goroutines.
 	OnShardDone func(done, total int, res ShardResult)
 }
+
+// journalBacklog is the least number of completed shards that may wait
+// for the journal at once. A short queue rides out fsync latency spikes
+// without stalling dispatch; each waiting shard holds its result and its
+// goroutine's grown stack, so the queue stays bounded.
+const journalBacklog = 16
 
 // Coordinate partitions the sweep into shards, fans them out over run,
 // and merges the results, enforcing the protocol: a worker must return
@@ -187,7 +199,11 @@ func coordinate(spec SweepSpec, specs []ShardSpec, prior []ShardResult, journal 
 
 	results := make([]ShardResult, len(specs))
 	errs := make([]error, len(specs))
+	// sem bounds the shards at the runner; backlog bounds the results
+	// waiting for (or in) their journal fsync, so a disk slower than the
+	// fleet holds back dispatch instead of queueing results without bound.
 	sem := make(chan struct{}, parallel)
+	backlog := make(chan struct{}, max(parallel, journalBacklog))
 	var done atomic.Int64
 	var wg sync.WaitGroup
 	for i, sp := range specs {
@@ -195,33 +211,32 @@ func coordinate(spec SweepSpec, specs []ShardSpec, prior []ShardResult, journal 
 		go func(i int, sp ShardSpec) {
 			defer wg.Done()
 			sem <- struct{}{}
-			defer func() { <-sem }()
-			for attempt := 0; ; attempt++ {
-				res, err := run(sp)
-				if err == nil {
-					err = checkShardResult(sp, res)
-				}
-				if err == nil && journal != nil {
-					// Journal before counting the shard complete: a result
-					// that is not durable is a result a crash will lose. A
-					// journal failure is fatal rather than retryable —
-					// recomputing the shard will not fix the disk.
-					if jerr := journal.Append(res); jerr != nil {
-						errs[i] = fmt.Errorf("shard %s: %w", sp.SpanRange(), jerr)
-						return
-					}
-				}
-				if err == nil {
-					results[i], errs[i] = res, nil
-					if opts.OnShardDone != nil {
-						opts.OnShardDone(int(done.Add(1)), len(specs), res)
-					}
+			res, err := dispatch(run, sp, opts.Retries)
+			if err == nil && journal != nil {
+				backlog <- struct{}{}
+			}
+			// The runner is done with this shard: free its slot now, so the
+			// next shard's round trip overlaps this shard's fsync.
+			<-sem
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			if journal != nil {
+				// Journal before counting the shard complete: a result
+				// that is not durable is a result a crash will lose. A
+				// journal failure is fatal rather than retryable —
+				// recomputing the shard will not fix the disk.
+				err := journal.Append(res)
+				<-backlog
+				if err != nil {
+					errs[i] = fmt.Errorf("shard %s: %w", sp.SpanRange(), err)
 					return
 				}
-				errs[i] = fmt.Errorf("shard %s (attempt %d): %w", sp.SpanRange(), attempt+1, err)
-				if attempt >= opts.Retries {
-					return
-				}
+			}
+			results[i] = res
+			if opts.OnShardDone != nil {
+				opts.OnShardDone(int(done.Add(1)), len(specs), res)
 			}
 		}(i, sp)
 	}
@@ -266,6 +281,23 @@ func coordinate(spec SweepSpec, specs []ShardSpec, prior []ShardResult, journal 
 			missing, strings.Join(failures, "\n"))
 	}
 	return merged, nil
+}
+
+// dispatch runs one shard, re-dispatching it up to retries times until
+// the runner returns a result covering exactly the shard.
+func dispatch(run Runner, sp ShardSpec, retries int) (ShardResult, error) {
+	for attempt := 0; ; attempt++ {
+		res, err := run(sp)
+		if err == nil {
+			err = checkShardResult(sp, res)
+		}
+		if err == nil {
+			return res, nil
+		}
+		if attempt >= retries {
+			return ShardResult{}, fmt.Errorf("shard %s (attempt %d): %w", sp.SpanRange(), attempt+1, err)
+		}
+	}
 }
 
 // checkShardResult enforces that a worker answered the shard it was

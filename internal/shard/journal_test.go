@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func tmpJournal(t *testing.T) string {
@@ -428,4 +429,222 @@ func TestResumeCoordinateOverNetworkWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectTallyBitwise(t, spec, merged)
+}
+
+// journaledRanges replays the journal file at path byte by byte (the
+// coordinator holds its lock, so OpenJournal cannot) and returns the
+// trial ranges its result records cover.
+func journaledRanges(t *testing.T, path string) []Range {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ranges []Range
+	rest := data[len(journalMagic):]
+	for header := true; len(rest) > 0; header = false {
+		payload, n, ok := readJournalRecord(rest)
+		if !ok {
+			t.Fatalf("journal has a torn record at byte %d", len(data)-len(rest))
+		}
+		if !header {
+			res, err := DecodeResult(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ranges = append(ranges, res.Ranges...)
+		}
+		rest = rest[n:]
+	}
+	return ranges
+}
+
+// TestJournaledDispatchRespectsParallel: releasing the slot before the
+// journal fsync must not let more than Parallel shards reach the runner
+// at once.
+func TestJournaledDispatchRespectsParallel(t *testing.T) {
+	reg := testRegistry()
+	spec := testSweepSpec()
+	for _, parallel := range []int{1, 2, 3} {
+		var inflight, over atomic.Int64
+		counting := func(sp ShardSpec) (ShardResult, error) {
+			if n := inflight.Add(1); n > int64(parallel) {
+				over.Store(n)
+			}
+			defer inflight.Add(-1)
+			time.Sleep(time.Millisecond)
+			return Run(sp, reg)
+		}
+		merged, err := ResumeCoordinate(spec, tmpJournal(t), 12, counting, Options{Parallel: parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		expectTallyBitwise(t, spec, merged)
+		if n := over.Load(); n != 0 {
+			t.Fatalf("Parallel %d: %d shards were at the runner at once", parallel, n)
+		}
+	}
+}
+
+// TestShardDoneAfterJournalRecord: when OnShardDone reports a shard, the
+// journal file already holds that shard's record.
+func TestShardDoneAfterJournalRecord(t *testing.T) {
+	reg := testRegistry()
+	spec := testSweepSpec()
+	path := tmpJournal(t)
+	var mu sync.Mutex
+	calls := 0
+	opts := Options{Parallel: 2, OnShardDone: func(_, _ int, res ShardResult) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls++
+		for _, rg := range journaledRanges(t, path) {
+			if rangesEqual([]Range{rg}, res.Ranges) {
+				return
+			}
+		}
+		t.Errorf("shard %v reported done before its journal record landed", res.Ranges)
+	}}
+	if _, err := ResumeCoordinate(spec, path, 8, LocalRunner(reg), opts); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 8 {
+		t.Fatalf("OnShardDone called %d times, want 8", calls)
+	}
+}
+
+// TestNextDispatchOverlapsJournal: with Parallel 1 the next shard reaches
+// the runner while the previous one is still being journaled, so a
+// shard's fsync overlaps the next shard's round trip.
+func TestNextDispatchOverlapsJournal(t *testing.T) {
+	reg := testRegistry()
+	spec := testSweepSpec()
+	var calls atomic.Int64
+	second := make(chan struct{})
+	run := func(sp ShardSpec) (ShardResult, error) {
+		if calls.Add(1) == 2 {
+			close(second)
+		}
+		return Run(sp, reg)
+	}
+	var once sync.Once
+	opts := Options{Parallel: 1, OnShardDone: func(int, int, ShardResult) {
+		once.Do(func() {
+			select {
+			case <-second:
+			case <-time.After(10 * time.Second):
+				t.Error("the next shard was not dispatched until the previous one was journaled")
+			}
+		})
+	}}
+	merged, err := ResumeCoordinate(spec, tmpJournal(t), 4, run, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectTallyBitwise(t, spec, merged)
+}
+
+// TestJournalFailureFailsSweep: a journal that dies mid-sweep still fails
+// the sweep, and every shard it could not record is reported missing.
+func TestJournalFailureFailsSweep(t *testing.T) {
+	reg := testRegistry()
+	spec := testSweepSpec()
+	j, _, err := OpenJournal(tmpJournal(t), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	var mu sync.Mutex
+	var done []Range
+	first := make(chan struct{})
+	opts := Options{Parallel: 1, OnShardDone: func(_, _ int, res ShardResult) {
+		mu.Lock()
+		done = append(done, res.Ranges...)
+		if len(done) == 1 {
+			close(first)
+		}
+		mu.Unlock()
+	}}
+	var calls atomic.Int64
+	run := func(sp ShardSpec) (ShardResult, error) {
+		if calls.Add(1) == 2 {
+			// Kill the journal's file once the first shard is durable.
+			<-first
+			j.mu.Lock()
+			j.f.Close()
+			j.mu.Unlock()
+		}
+		return Run(sp, reg)
+	}
+	shards := spec.Partition(5)
+	merged, err := coordinate(spec, shards, nil, j, run, opts)
+	if err == nil {
+		t.Fatal("sweep with a dead journal reported success")
+	}
+	if len(done) != 1 {
+		t.Fatalf("%d shards counted done, want only the one journaled before the failure", len(done))
+	}
+	if !strings.Contains(err.Error(), "journal append") {
+		t.Fatalf("error does not name the journal failure: %v", err)
+	}
+	var want []Range
+	for _, sp := range shards {
+		if rg := sp.SpanRange(); rg != done[0] {
+			want = append(want, rg)
+			if !strings.Contains(err.Error(), rg.String()) {
+				t.Errorf("error does not name the unjournaled range %s: %v", rg, err)
+			}
+		}
+	}
+	wantMissing, err := mergeRanges(want, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := merged.MissingRanges(); !rangesEqual(got, wantMissing) {
+		t.Fatalf("missing ranges %v, want %v", got, wantMissing)
+	}
+}
+
+// TestJournalBacklogBounded: while the journal is stalled, dispatch stops
+// once journalBacklog finished shards wait for it (plus the one holding
+// the slot), and resumes when the journal does.
+func TestJournalBacklogBounded(t *testing.T) {
+	reg := testRegistry()
+	spec := testSweepSpec()
+	j, _, err := OpenJournal(tmpJournal(t), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	var calls atomic.Int64
+	run := func(sp ShardSpec) (ShardResult, error) {
+		calls.Add(1)
+		return Run(sp, reg)
+	}
+	j.mu.Lock() // stall every Append
+	type outcome struct {
+		res ShardResult
+		err error
+	}
+	finished := make(chan outcome, 1)
+	go func() {
+		res, err := coordinate(spec, spec.Partition(40), nil, j, run, Options{Parallel: 1})
+		finished <- outcome{res, err}
+	}()
+	const want = journalBacklog + 1
+	deadline := time.Now().Add(10 * time.Second)
+	for calls.Load() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // room for a dispatch past the bound
+	got := calls.Load()
+	j.mu.Unlock()
+	if got != want {
+		t.Fatalf("%d shards dispatched while the journal stalled, want %d", got, want)
+	}
+	out := <-finished
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	expectTallyBitwise(t, spec, out.res)
 }

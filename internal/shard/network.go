@@ -239,6 +239,12 @@ func (ns *NetworkSpec) SweepID() (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return sweepID(net, ns), nil
+}
+
+// sweepID hashes the parsed network and the spec's trial-shaping fields
+// into the content-addressed id (see SweepID).
+func sweepID(net *chem.Network, ns *NetworkSpec) string {
 	h := sha256.New()
 	canonical := chem.AppendCRN(nil, net)
 	fmt.Fprintf(h, "crn %d\n", len(canonical))
@@ -252,7 +258,7 @@ func (ns *NetworkSpec) SweepID() (string, error) {
 	if ns.Hist != nil {
 		fmt.Fprintf(h, "hist %d %d %d\n", ns.Hist.Lo, ns.Hist.Width, ns.Hist.Bins)
 	}
-	return "crn/" + hex.EncodeToString(h.Sum(nil))[:16], nil
+	return "crn/" + hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 // equalNetworkSpec reports whether two optional network payloads describe
@@ -311,6 +317,12 @@ type networkObservable struct {
 	value    chem.Species // species observed; chem.Species(-1) = margin A−B
 	maxSteps int64
 	protect  []chem.Species
+
+	// The trial bodies of the three sweep kinds, bound once at compile
+	// time so a cached observable hands them out without allocating.
+	outcome OutcomeTrial
+	numeric NumericTrial
+	dist    DistTrial
 }
 
 // pilotEvents is the length of the deterministic pilot jump chain used to
@@ -377,6 +389,9 @@ func compileObservable(net *chem.Network, ns *NetworkSpec, param float64) (*netw
 		no.value = mod.MustSpecies(o.Value)
 		no.protect = append(no.protect, no.value)
 	}
+	no.outcome = OutcomeTrial{NewEngine: no.newEngine, Classify: func(eng any) int { return no.observe(eng).Outcome }}
+	no.numeric = NumericTrial{NewEngine: no.newEngine, Measure: func(eng any) float64 { return no.observe(eng).Value }}
+	no.dist = DistTrial{NewEngine: no.newEngine, Observe: no.observe}
 	return no, nil
 }
 
@@ -422,12 +437,16 @@ func (no *networkObservable) observe(eng any) mc.Obs {
 // run — the same Factory shape the registry serves, so Run treats
 // registry sweeps and wire-submitted networks identically after
 // resolution. The sweep kind is selected exactly as for ShardSpec:
-// numeric, dist, or (neither) tally with NetworkOutcomes outcomes.
+// numeric, dist, or (neither) tally with NetworkOutcomes outcomes. The
+// spec is read once, at the call: the factory keeps serving the model it
+// was built from even if the caller later mutates ns. Validation and
+// per-grid-value compilation go through the process's network cache, so
+// repeated calls with the same spec content share one compiled model.
 func NetworkFactory(ns *NetworkSpec, numeric, dist bool) (Factory, error) {
 	if numeric && dist {
 		return Factory{}, fmt.Errorf("shard: network sweep cannot be both numeric and dist")
 	}
-	net, err := ns.validate(numeric, dist)
+	cn, err := networks.get(ns, numeric, dist)
 	if err != nil {
 		return Factory{}, err
 	}
@@ -435,46 +454,39 @@ func NetworkFactory(ns *NetworkSpec, numeric, dist bool) (Factory, error) {
 	switch {
 	case numeric:
 		f.NumericF = func(param float64) (NumericTrial, error) {
-			no, err := compileObservable(net, ns, param)
+			no, err := cn.observable(param)
 			if err != nil {
 				return NumericTrial{}, err
 			}
-			return NumericTrial{
-				NewEngine: no.newEngine,
-				Measure:   func(eng any) float64 { return no.observe(eng).Value },
-			}, nil
+			return no.numeric, nil
 		}
 	case dist:
 		f.Outcomes = NetworkOutcomes
-		f.Hist = *ns.Hist
+		f.Hist = cn.key.hist
 		f.DistF = func(param float64) (DistTrial, error) {
-			no, err := compileObservable(net, ns, param)
+			no, err := cn.observable(param)
 			if err != nil {
 				return DistTrial{}, err
 			}
-			return DistTrial{NewEngine: no.newEngine, Observe: no.observe}, nil
+			return no.dist, nil
 		}
 	default:
 		f.Outcomes = NetworkOutcomes
 		f.Outcome = func(param float64) (OutcomeTrial, error) {
-			no, err := compileObservable(net, ns, param)
+			no, err := cn.observable(param)
 			if err != nil {
 				return OutcomeTrial{}, err
 			}
-			return OutcomeTrial{
-				NewEngine: no.newEngine,
-				Classify:  func(eng any) int { return no.observe(eng).Outcome },
-			}, nil
+			return no.outcome, nil
 		}
 	}
 	return f, nil
 }
 
-// validateNetworkSpec is the ShardSpec.Validate hook for network-carrying
-// specs: resource limits on the sweep shape, full NetworkSpec validation,
-// and the content-addressed identity check.
+// validateNetwork is the ShardSpec.Validate hook for network-carrying
+// specs: resource limits on the sweep shape, full NetworkSpec validation
+// (cached per spec content), and the content-addressed identity check.
 func (s ShardSpec) validateNetwork() error {
-	ns := s.Network
 	if s.Trials > MaxNetworkTrials {
 		return fmt.Errorf("shard: network sweep asks %d trials, limit %d", s.Trials, MaxNetworkTrials)
 	}
@@ -484,15 +496,12 @@ func (s ShardSpec) validateNetwork() error {
 	if !s.Numeric && s.Outcomes != NetworkOutcomes {
 		return fmt.Errorf("shard: network sweep needs outcomes = %d (got %d)", NetworkOutcomes, s.Outcomes)
 	}
-	if _, err := ns.validate(s.Numeric, s.Dist); err != nil {
-		return err
-	}
-	id, err := ns.SweepID()
+	cn, err := networks.get(s.Network, s.Numeric, s.Dist)
 	if err != nil {
 		return err
 	}
-	if s.Sweep != id {
-		return fmt.Errorf("shard: network sweep id %q does not match content id %q", s.Sweep, id)
+	if s.Sweep != cn.id {
+		return fmt.Errorf("shard: network sweep id %q does not match content id %q", s.Sweep, cn.id)
 	}
 	return nil
 }

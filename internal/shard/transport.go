@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -241,28 +242,47 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// serverWriteBuffer sizes a server connection's write buffer. A response
+// frame that fits (every toggle-sized result does, with room to spare)
+// leaves in one write, so one response is one TCP segment train rather
+// than three tiny segments under TCP_NODELAY.
+const serverWriteBuffer = 64 << 10
+
 // handle speaks the per-connection protocol: handshake, then a
-// spec→result loop until the peer goes away or the server drains.
+// spec→result loop until the peer goes away or the server drains. Reads
+// go through a buffered reader and each response through a buffered
+// writer that is flushed once.
 func (s *Server) handle(c net.Conn) {
-	peer, err := readHello(c)
+	r := bufio.NewReader(c)
+	w := bufio.NewWriterSize(c, serverWriteBuffer)
+	send := func(t frameType, payload []byte) error {
+		if err := writeFrame(w, t, payload); err != nil {
+			return err
+		}
+		return w.Flush()
+	}
+	peer, err := readHello(r)
 	if err != nil {
 		return
 	}
 	if err := peer.check(); err != nil {
-		writeFrame(c, frameError, []byte(err.Error()))
+		send(frameError, []byte(err.Error()))
 		return
 	}
-	if err := writeHello(c, Hello{Protocol: ProtocolVersion, Format: FormatVersion, Sweeps: s.reg.Names()}); err != nil {
+	if err := writeHello(w, Hello{Protocol: ProtocolVersion, Format: FormatVersion, Sweeps: s.reg.Names()}); err != nil {
+		return
+	}
+	if w.Flush() != nil {
 		return
 	}
 	for {
-		t, payload, err := readFrame(c)
+		t, payload, err := readFrame(r)
 		if err != nil {
 			return // peer closed or stream corrupt; nothing to salvage
 		}
 		switch t {
 		case framePing:
-			if writeFrame(c, framePong, payload) != nil {
+			if send(framePong, payload) != nil {
 				return
 			}
 		case frameSpec:
@@ -272,18 +292,18 @@ func (s *Server) handle(c net.Conn) {
 			s.mu.Lock()
 			if s.draining || s.closed {
 				s.mu.Unlock()
-				writeFrame(c, frameDrain, nil)
+				send(frameDrain, nil)
 				return
 			}
 			s.inflight.Add(1)
 			s.mu.Unlock()
-			err := s.serveShard(c, payload)
+			err := s.serveShard(c, payload, send)
 			s.inflight.Done()
 			if err != nil {
 				return
 			}
 		default:
-			writeFrame(c, frameError, []byte(fmt.Sprintf("shard: unexpected %s frame", t)))
+			send(frameError, []byte(fmt.Sprintf("shard: unexpected %s frame", t)))
 			return
 		}
 	}
@@ -297,13 +317,14 @@ func (s *Server) handle(c net.Conn) {
 const responseWriteTimeout = time.Minute
 
 // serveShard answers one spec frame with exactly one result or error
-// frame. The returned error is a connection-level failure; shard-level
-// failures travel back to the coordinator as error frames.
-func (s *Server) serveShard(c net.Conn, payload []byte) error {
+// frame, written and flushed by send under responseWriteTimeout. The
+// returned error is a connection-level failure; shard-level failures
+// travel back to the coordinator as error frames.
+func (s *Server) serveShard(c net.Conn, payload []byte, send func(frameType, []byte) error) error {
 	respond := func(t frameType, body []byte) error {
 		c.SetWriteDeadline(time.Now().Add(responseWriteTimeout))
 		defer c.SetWriteDeadline(time.Time{})
-		return writeFrame(c, t, body)
+		return send(t, body)
 	}
 	spec, err := DecodeSpec(payload)
 	if err != nil {

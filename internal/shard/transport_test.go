@@ -337,6 +337,73 @@ func TestRemoteRunnerMatchesLocalRun(t *testing.T) {
 	}
 }
 
+// countingConn counts Write calls on the wrapped connection.
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestServerWritesEachResponseOnce: the server buffers each response
+// frame (header, payload, checksum) and flushes it in one write, so a
+// response is one segment train, not three tiny segments.
+func TestServerWritesEachResponseOnce(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writes atomic.Int64
+	srv := Serve(&flakyListener{Listener: ln, wrap: func(c net.Conn) net.Conn {
+		return &countingConn{Conn: c, writes: &writes}
+	}}, testRegistry())
+	t.Cleanup(srv.Close)
+	c, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	roundTrip := func(what string, ft frameType, payload []byte, want frameType) {
+		t.Helper()
+		before := writes.Load()
+		if ft == frameHello {
+			err = writeHello(c, Hello{Protocol: ProtocolVersion, Format: FormatVersion})
+		} else {
+			err = writeFrame(c, ft, payload)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := readFrame(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s: got %s frame, want %s", what, got, want)
+		}
+		if n := writes.Load() - before; n != 1 {
+			t.Fatalf("%s: response took %d writes, want 1", what, n)
+		}
+	}
+	roundTrip("hello", frameHello, nil, frameHello)
+	spec, err := testSweepSpec().Shard(0, 40).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrip("result", frameSpec, spec, frameResult)
+	roundTrip("pong", framePing, []byte("keepalive"), framePong)
+	bad := testSweepSpec()
+	bad.Sweep = "no/such/sweep"
+	badSpec, err := bad.Shard(0, 40).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrip("error", frameSpec, badSpec, frameError)
+}
+
 // TestRemoteRunnerPoolsConnectionsWithKeepalive: sequential shards to one
 // worker reuse a single connection, revalidated by the ping/pong
 // keepalive before each reuse.

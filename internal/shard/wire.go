@@ -380,9 +380,11 @@ func (r ShardResult) Encode() ([]byte, error) {
 	return json.Marshal(r)
 }
 
-// checkVersion peeks at the version field before strict decoding so that
-// a future format (which may carry fields this build has never heard of)
-// fails with a version message rather than an unknown-field one.
+// checkVersion reads just the version field. Decoding calls it only
+// after the strict decode has failed, to pick the error: a future format
+// (which may carry fields this build has never heard of) fails with a
+// version message rather than an unknown-field one, and a document that
+// is not one well-formed JSON value fails as malformed.
 func checkVersion(data []byte) error {
 	var v struct {
 		Version int `json:"version"`
@@ -396,28 +398,38 @@ func checkVersion(data []byte) error {
 	return nil
 }
 
-func strictUnmarshal(data []byte, v any) error {
+// decodeStrict parses one message into v in a single pass, rejecting
+// unknown fields and anything but whitespace after the document. On
+// failure the error is the one the version peek would have given first,
+// if any, so every error text is what a peek-then-decode reader reports.
+// (A strict decode that succeeds implies the peek would too, up to an
+// unaccepted version, which Validate then rejects with the same text.)
+func decodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("shard: %w", err)
+	err := dec.Decode(v)
+	if err != nil {
+		err = fmt.Errorf("shard: %w", err)
+	} else if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
+		// The wire contract is one JSON document per message; trailing
+		// bytes mean a corrupted worker stream (duplicated write, stray
+		// log line).
+		err = fmt.Errorf("shard: trailing data after message")
 	}
-	// The wire contract is one JSON document per message; trailing bytes
-	// mean a corrupted worker stream (duplicated write, stray log line).
-	if dec.More() {
-		return fmt.Errorf("shard: trailing data after message")
+	if err == nil {
+		return nil
 	}
-	return nil
+	if verr := checkVersion(data); verr != nil {
+		return verr
+	}
+	return err
 }
 
 // DecodeSpec parses and validates a ShardSpec, rejecting unknown format
 // versions and unknown fields.
 func DecodeSpec(data []byte) (ShardSpec, error) {
 	var s ShardSpec
-	if err := checkVersion(data); err != nil {
-		return s, err
-	}
-	if err := strictUnmarshal(data, &s); err != nil {
+	if err := decodeStrict(data, &s); err != nil {
 		return s, err
 	}
 	if err := s.Validate(); err != nil {
@@ -430,10 +442,7 @@ func DecodeSpec(data []byte) (ShardSpec, error) {
 // format versions and unknown fields.
 func DecodeResult(data []byte) (ShardResult, error) {
 	var r ShardResult
-	if err := checkVersion(data); err != nil {
-		return r, err
-	}
-	if err := strictUnmarshal(data, &r); err != nil {
+	if err := decodeStrict(data, &r); err != nil {
 		return r, err
 	}
 	if err := r.Validate(); err != nil {

@@ -437,6 +437,56 @@ func TestDecodeRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// TestDecodeErrorTexts pins the decoders' error texts byte for byte.
+// Decoding is one strict pass with a version peek only on failure; the
+// peek decides which error wins, so these are exactly the texts a
+// peek-first decoder gives.
+func TestDecodeErrorTexts(t *testing.T) {
+	enc, err := goldenSpec().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trail := func(s string) []byte { return append(append([]byte(nil), enc...), s...) }
+	const malformed = "shard: malformed message: "
+	cases := []struct {
+		name, in, spec, result string
+	}{
+		{name: "future version with new fields", in: `{"version":4,"sweep":"x","shiny":true}`,
+			spec: "shard: unknown format version 4 (this build speaks 3)"},
+		{name: "unknown version", in: `{"version":9,"sweep":"s","grid":[1],"trials":1,"lo":0,"hi":1,"seed":1,"outcomes":2}`,
+			spec: "shard: unknown format version 9 (this build speaks 3)"},
+		{name: "missing version", in: `{"sweep":"s","grid":[1],"trials":1,"lo":0,"hi":1,"seed":1,"outcomes":2}`,
+			spec: "shard: unknown format version 0 (this build speaks 3)"},
+		{name: "null", in: `null`, spec: "shard: unknown format version 0 (this build speaks 3)"},
+		{name: "truncated", in: `{"version":3,`, spec: malformed + "unexpected end of JSON input"},
+		{name: "empty", in: ``, spec: malformed + "unexpected end of JSON input"},
+		{name: "not json", in: `hello`, spec: malformed + "invalid character 'h' looking for beginning of value"},
+		{name: "version type", in: `{"version":"3"}`,
+			spec: malformed + "json: cannot unmarshal string into Go struct field .version of type int"},
+		{name: "trailing document", in: string(trail("{}")), spec: malformed + "invalid character '{' after top-level value"},
+		{name: "trailing brace", in: string(trail("}")), spec: malformed + "invalid character '}' after top-level value"},
+		{name: "trailing log line", in: string(trail("\nstray log line")), spec: malformed + "invalid character 's' after top-level value"},
+		{name: "unknown field", in: `{"version":3,"surprise":1,"sweep":"s"}`, spec: `shard: json: unknown field "surprise"`},
+		{name: "field type", in: `{"version":3,"grid":"x"}`,
+			spec:   "shard: json: cannot unmarshal string into Go struct field ShardSpec.grid of type []float64",
+			result: "shard: json: cannot unmarshal string into Go struct field ShardResult.grid of type []float64"},
+	}
+	for _, c := range cases {
+		if c.result == "" {
+			c.result = c.spec
+		}
+		if _, err := DecodeSpec([]byte(c.in)); err == nil || err.Error() != c.spec {
+			t.Errorf("%s: DecodeSpec error %v, want %q", c.name, err, c.spec)
+		}
+		if _, err := DecodeResult([]byte(c.in)); err == nil || err.Error() != c.result {
+			t.Errorf("%s: DecodeResult error %v, want %q", c.name, err, c.result)
+		}
+	}
+	if _, err := DecodeSpec(trail(" \n\t\r")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}
+
 func TestDecodeRejectsCorruptNumericMoments(t *testing.T) {
 	res := goldenNumericResult(t)
 	res.Points[0].Moments = append(mc.Moments(nil), res.Points[0].Moments...)
