@@ -631,6 +631,37 @@ func BenchmarkShardRoundTripToggle(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/shard")
 }
 
+// BenchmarkDecodeShardResultToggle measures the coordinator's decode of
+// one toggle shard result (10 trials per grid point, as in
+// BenchmarkShardRoundTripToggle): parse plus Validate, in ns/op and
+// allocs/op.
+func BenchmarkDecodeShardResultToggle(b *testing.B) {
+	s, ok := scenario.ByName("toggle")
+	if !ok {
+		b.Fatal("toggle scenario not in library")
+	}
+	spec, err := s.SweepSpec()
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.Trials = 10
+	res, err := shard.Run(spec.Shard(0, spec.Trials), shard.NewRegistry())
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := res.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := shard.DecodeResult(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTrialsNaturalBatchReuse is the trial-lockstep batch counterpart
 // of BenchmarkTrialsNaturalOptimizedReuse: Model.CharacterizeBatch drives
 // K = 32 trials through one fused sim.BatchRace kernel per worker, with

@@ -140,15 +140,18 @@ func stderrSuffix(stderr *bytes.Buffer) string {
 
 // Options tunes Coordinate.
 type Options struct {
-	// Parallel bounds the shards dispatched to the Runner at once; 0
-	// dispatches all at once (each in-process shard still parallelises
+	// Parallel is the number of dispatchers: goroutines that each take
+	// the next undispatched shard, run it on the Runner and, once its
+	// result passes the coverage check, take the next. 0 means one per
+	// shard, all at once (each in-process shard still parallelises
 	// internally, so use Parallel with LocalRunner to avoid
-	// oversubscription). A shard gives up its slot as soon as its result
-	// passes the coverage check, so with a journal the next dispatch
-	// overlaps this shard's fsync; the shard counts as done only after
-	// the fsync. Up to 16 finished shards (or Parallel, if larger) may
-	// wait for the journal; past that, a finished shard keeps its slot
-	// until the journal catches up.
+	// oversubscription). With a journal a dispatcher hands the result to
+	// a single writer and moves on, so the next dispatch overlaps this
+	// shard's fsync; the writer commits every result queued since its
+	// last fsync in one write and one fsync, and only then counts those
+	// shards done. Up to 16 finished shards (or Parallel, if larger) may
+	// wait for the journal; past that, a dispatcher holds its finished
+	// shard until the journal catches up.
 	Parallel int
 	// Retries is how many times a failing shard is re-dispatched before
 	// its range is reported missing.
@@ -156,15 +159,16 @@ type Options struct {
 	// OnShardDone, when set, is called after each shard completes and —
 	// when a journal is in play (ResumeCoordinate) — after its result is
 	// durably journaled: done counts completed shards of this run, total
-	// is the number dispatched. It may be called concurrently from
-	// dispatch goroutines.
+	// is the number dispatched. Without a journal it may be called
+	// concurrently from dispatchers; with one, the journal writer calls
+	// it, one shard at a time.
 	OnShardDone func(done, total int, res ShardResult)
 }
 
 // journalBacklog is the least number of completed shards that may wait
 // for the journal at once. A short queue rides out fsync latency spikes
-// without stalling dispatch; each waiting shard holds its result and its
-// goroutine's grown stack, so the queue stays bounded.
+// without stalling dispatch; each waiting shard holds its result, so the
+// queue stays bounded.
 const journalBacklog = 16
 
 // Coordinate partitions the sweep into shards, fans them out over run,
@@ -186,6 +190,12 @@ func Coordinate(spec SweepSpec, shards int, run Runner, opts Options) (ShardResu
 // retries, durably journal each completed result (when journal is
 // non-nil) before counting it done, and merge the new results with any
 // prior (journal-replayed) ones.
+//
+// parallel long-lived dispatchers pull shard indices in order, so a
+// dispatcher's stack, grown once by the first shard's decode, serves
+// every later shard. With a journal, one writer group-commits: every
+// result queued since its last fsync goes into one write and one fsync,
+// and only then are those shards counted done.
 func coordinate(spec SweepSpec, specs []ShardSpec, prior []ShardResult, journal *Journal, run Runner, opts Options) (ShardResult, error) {
 	if len(specs) == 0 && len(prior) == 0 {
 		// A zero-trial sweep dispatches nothing and replays nothing; its
@@ -199,88 +209,131 @@ func coordinate(spec SweepSpec, specs []ShardSpec, prior []ShardResult, journal 
 
 	results := make([]ShardResult, len(specs))
 	errs := make([]error, len(specs))
-	// sem bounds the shards at the runner; backlog bounds the results
-	// waiting for (or in) their journal fsync, so a disk slower than the
-	// fleet holds back dispatch instead of queueing results without bound.
-	sem := make(chan struct{}, parallel)
-	backlog := make(chan struct{}, max(parallel, journalBacklog))
 	var done atomic.Int64
-	var wg sync.WaitGroup
-	for i, sp := range specs {
-		wg.Add(1)
-		go func(i int, sp ShardSpec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			res, err := dispatch(run, sp, opts.Retries)
-			if err == nil && journal != nil {
-				backlog <- struct{}{}
-			}
-			// The runner is done with this shard: free its slot now, so the
-			// next shard's round trip overlaps this shard's fsync.
-			<-sem
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if journal != nil {
-				// Journal before counting the shard complete: a result
-				// that is not durable is a result a crash will lose. A
-				// journal failure is fatal rather than retryable —
-				// recomputing the shard will not fix the disk.
-				err := journal.Append(res)
-				<-backlog
-				if err != nil {
-					errs[i] = fmt.Errorf("shard %s: %w", sp.SpanRange(), err)
+	finish := func(i int, res ShardResult) {
+		results[i] = res
+		if opts.OnShardDone != nil {
+			opts.OnShardDone(int(done.Add(1)), len(specs), res)
+		}
+	}
+	// backlog bounds the results waiting for (or in) their journal fsync,
+	// so a disk slower than the fleet holds back dispatch instead of
+	// queueing results without bound. queue never blocks: a result is
+	// queued only with a backlog token in hand.
+	backlog := make(chan struct{}, max(parallel, journalBacklog))
+	queue := make(chan journaled, cap(backlog))
+	var writer sync.WaitGroup
+	if journal != nil {
+		writer.Add(1)
+		go func() {
+			defer writer.Done()
+			groupCommit(journal, specs, queue, backlog, errs, finish)
+		}()
+	}
+
+	var next atomic.Int64
+	var dispatchers sync.WaitGroup
+	for range parallel {
+		dispatchers.Add(1)
+		go func() {
+			defer dispatchers.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(specs) {
 					return
 				}
+				res, err := dispatch(run, specs[i], opts.Retries)
+				switch {
+				case err != nil:
+					errs[i] = err
+				case journal != nil:
+					// Journal before counting the shard complete: a
+					// result that is not durable is a result a crash
+					// will lose. The dispatcher moves on to the next
+					// shard while the writer fsyncs this one.
+					backlog <- struct{}{}
+					queue <- journaled{i, res}
+				default:
+					finish(i, res)
+				}
 			}
-			results[i] = res
-			if opts.OnShardDone != nil {
-				opts.OnShardDone(int(done.Add(1)), len(specs), res)
-			}
-		}(i, sp)
+		}()
 	}
-	wg.Wait()
+	dispatchers.Wait()
+	close(queue)
+	writer.Wait()
 
-	merged := ShardResult{}
 	var failures []string
-	first := true
-	for _, res := range prior {
-		if first {
-			merged, first = res, false
-			continue
-		}
-		var err error
-		merged, err = MergeResults(merged, res)
-		if err != nil {
-			return ShardResult{}, err
-		}
-	}
+	parts := prior[:len(prior):len(prior)] // appending copies; prior stays the caller's
 	for i := range specs {
 		if errs[i] != nil {
 			failures = append(failures, errs[i].Error())
 			continue
 		}
-		if first {
-			merged, first = results[i], false
-			continue
-		}
-		var err error
-		merged, err = MergeResults(merged, results[i])
-		if err != nil {
-			return ShardResult{}, err
-		}
+		parts = append(parts, results[i])
 	}
-	if first {
+	if len(parts) == 0 {
 		return ShardResult{}, fmt.Errorf("shard: every shard failed:\n%s", strings.Join(failures, "\n"))
+	}
+	merged, err := MergeAll(parts...)
+	if err != nil {
+		return ShardResult{}, err
 	}
 	if !merged.Complete() {
 		missing := merged.MissingRanges()
-		sort.Slice(failures, func(i, j int) bool { return failures[i] < failures[j] })
+		sort.Strings(failures)
 		return merged, fmt.Errorf("shard: incomplete sweep: missing trials %v:\n%s",
 			missing, strings.Join(failures, "\n"))
 	}
 	return merged, nil
+}
+
+// journaled is a dispatched shard's result on its way to the journal.
+type journaled struct {
+	i   int
+	res ShardResult
+}
+
+// groupCommit is coordinate's journal writer. It takes every result
+// queued since its last commit, appends them as one batch, returns their
+// backlog tokens once the batch is durable (or failed), and counts each
+// journaled shard done via finish. It returns when queue is closed and
+// drained. A journal failure is fatal rather than retryable —
+// recomputing the shard will not fix the disk — so it is recorded in
+// errs under the shard's range.
+func groupCommit(journal *Journal, specs []ShardSpec, queue <-chan journaled, backlog <-chan struct{}, errs []error, finish func(int, ShardResult)) {
+	var batch []journaled
+	var results []ShardResult
+	for first := range queue {
+		batch = append(batch[:0], first)
+	drain:
+		for {
+			select {
+			case q, ok := <-queue:
+				if !ok {
+					break drain
+				}
+				batch = append(batch, q)
+			default:
+				break drain
+			}
+		}
+		results = results[:0]
+		for _, q := range batch {
+			results = append(results, q.res)
+		}
+		failed := journal.appendBatch(results)
+		for range batch {
+			<-backlog
+		}
+		for k, q := range batch {
+			if failed[k] != nil {
+				errs[q.i] = fmt.Errorf("shard %s: %w", specs[q.i].SpanRange(), failed[k])
+				continue
+			}
+			finish(q.i, q.res)
+		}
+	}
 }
 
 // dispatch runs one shard, re-dispatching it up to retries times until

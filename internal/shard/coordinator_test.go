@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -325,5 +326,54 @@ func TestCoordinateRejectsForeignResult(t *testing.T) {
 	}
 	if _, err := Coordinate(spec, 2, foreign, Options{}); err == nil {
 		t.Fatal("coordinator accepted results for a different seed")
+	}
+}
+
+// TestCoordinateRunsParallelDispatchers: Coordinate runs Parallel
+// long-lived dispatchers (plus the journal writer), not one goroutine
+// per shard, and still merges bit for bit.
+func TestCoordinateRunsParallelDispatchers(t *testing.T) {
+	reg := testRegistry()
+	spec := testSweepSpec()
+	const parallel, shards = 2, 50
+	// Precomputed results keep the runner itself from starting
+	// goroutines (Run's mc workers) that would blur the count.
+	done := make(map[Range]ShardResult)
+	for _, sp := range spec.Partition(shards) {
+		res, err := Run(sp, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done[sp.SpanRange()] = res
+	}
+	for _, journaled := range []bool{false, true} {
+		base := runtime.NumGoroutine()
+		var most atomic.Int64
+		run := func(sp ShardSpec) (ShardResult, error) {
+			n := int64(runtime.NumGoroutine())
+			for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
+			}
+			return done[sp.SpanRange()], nil
+		}
+		opts := Options{Parallel: parallel}
+		var merged ShardResult
+		var err error
+		if journaled {
+			merged, err = ResumeCoordinate(spec, tmpJournal(t), shards, run, opts)
+		} else {
+			merged, err = Coordinate(spec, shards, run, opts)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		expectTallyBitwise(t, spec, merged)
+		want := base + parallel
+		if journaled {
+			want++ // the journal writer
+		}
+		if got := int(most.Load()); got > want {
+			t.Fatalf("journal=%v: %d goroutines during dispatch, want at most %d (%d before, %d dispatchers)",
+				journaled, got, want, base, parallel)
+		}
 	}
 }

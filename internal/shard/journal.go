@@ -28,8 +28,9 @@ import (
 //
 // The first record's payload is the canonical full-sweep ShardSpec JSON
 // (the sweep identity the journal belongs to); every later record is one
-// ShardResult JSON. Appends write the whole record and fsync before
-// returning, so a record is either durably complete or detectably torn.
+// ShardResult JSON. Appends write whole records and fsync before
+// returning — one write and one fsync per group commit of any number of
+// records — so a record is either durably complete or detectably torn.
 //
 // Torn-tail rule: replay stops at the first record that is truncated or
 // fails its checksum, and the file is truncated back to the last intact
@@ -218,45 +219,89 @@ func resultHeader(full ShardSpec) ShardResult {
 }
 
 // Append durably records one completed shard result: the record is
-// written and fsync'd before Append returns. The first failure poisons
-// the journal — a coordinator must not keep computing against a log that
-// can no longer hold its results.
+// written and fsync'd before Append returns. It is a one-record group
+// commit (see appendBatch).
 func (j *Journal) Append(res ShardResult) error {
+	return j.appendBatch([]ShardResult{res})[0]
+}
+
+// appendBatch durably records several completed shard results as one
+// group commit: every record goes out in one write, covered by one
+// fsync, before appendBatch returns. errs[i] is res[i]'s outcome. A
+// result that is foreign to the sweep or cannot be encoded fails alone
+// and is left out; a failed write or fsync fails every record of the
+// batch and poisons the journal — a coordinator must not keep computing
+// against a log that can no longer hold its results. Records keep the
+// order of res, so a torn write loses a suffix of the batch, which the
+// torn-tail rule discards on replay.
+func (j *Journal) appendBatch(res []ShardResult) []error {
+	errs := make([]error, len(res))
+	var buf []byte
+	var written []int
+	for i, r := range res {
+		if errs[i] = headerCompatible(j.want, r); errs[i] != nil {
+			continue
+		}
+		payload, err := r.Encode()
+		if err == nil {
+			buf, err = frameRecord(buf, payload)
+		}
+		if errs[i] = err; err == nil {
+			written = append(written, i)
+		}
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
-		return j.err
+		for i := range errs {
+			errs[i] = j.err
+		}
+		return errs
 	}
-	if err := headerCompatible(j.want, res); err != nil {
-		return err
+	if len(written) == 0 {
+		return errs
 	}
-	payload, err := res.Encode()
+	// The fsync deliberately happens under j.mu: a batch must be durable
+	// before the next can write behind it, so write order, record order
+	// and durability order are one and the same. Concurrent Appends
+	// serialize here by design; nothing else contends on j.mu.
+	if err := j.commit(buf); err != nil { //stochlint:allow locksafe
+		for _, i := range written {
+			errs[i] = err
+		}
+	}
+	return errs
+}
+
+// appendRecord writes one record and fsyncs. Callers hold j.mu (or are
+// still single-threaded in OpenJournal).
+func (j *Journal) appendRecord(payload []byte) error {
+	rec, err := frameRecord(nil, payload)
 	if err != nil {
 		return err
 	}
-	// The fsync deliberately happens under j.mu: a record must be durable
-	// before the next Append can write behind it, so write order, record
-	// order and durability order are one and the same. Concurrent shard
-	// completions serialize here by design; nothing else contends on j.mu.
-	return j.appendRecord(payload) //stochlint:allow locksafe
+	return j.commit(rec)
 }
 
-// appendRecord writes one length+crc+payload record and fsyncs. Callers
-// hold j.mu (or are still single-threaded in OpenJournal).
-func (j *Journal) appendRecord(payload []byte) error {
+// frameRecord appends one length+crc+payload record to buf.
+func frameRecord(buf, payload []byte) ([]byte, error) {
 	if len(payload) > MaxFramePayload {
 		// Replay enforces this bound (readJournalRecord treats larger
 		// lengths as a torn tail), so writing past it would durably store
 		// a record that resume then truncates away along with everything
 		// after it. Refuse at write time instead; the shard stays
 		// un-journaled and the coordinator reports the failure.
-		return fmt.Errorf("shard: journal record of %d bytes exceeds the %d-byte bound", len(payload), MaxFramePayload)
+		return buf, fmt.Errorf("shard: journal record of %d bytes exceeds the %d-byte bound", len(payload), MaxFramePayload)
 	}
-	buf := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[8:], payload)
-	if _, err := j.f.Write(buf); err != nil {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...), nil
+}
+
+// commit writes whole records and fsyncs them; the first failure poisons
+// the journal. Callers hold j.mu, as for appendRecord.
+func (j *Journal) commit(records []byte) error {
+	if _, err := j.f.Write(records); err != nil {
 		j.err = fmt.Errorf("shard: journal append: %w", err)
 		return j.err
 	}

@@ -648,3 +648,82 @@ func TestJournalBacklogBounded(t *testing.T) {
 	}
 	expectTallyBitwise(t, spec, out.res)
 }
+
+// TestJournalGroupCommit: a batch writes exactly the bytes the same
+// results appended one by one write, so group commit changes neither
+// the record layout nor the torn-tail rule; a result foreign to the
+// sweep fails alone, and a failed write fails every record of the batch
+// with the named journal error and poisons the journal.
+func TestJournalGroupCommit(t *testing.T) {
+	reg := testRegistry()
+	spec := testSweepSpec()
+	var results []ShardResult
+	for _, rg := range []Range{{0, 30}, {30, 100}, {100, 200}} {
+		res, err := Run(spec.Shard(rg.Lo, rg.Hi), reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	foreign := results[1]
+	foreign.Seed++
+
+	onePath, batchPath := tmpJournal(t), tmpJournal(t)+".batch"
+	one, _, err := OpenJournal(onePath, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range results {
+		if err := one.Append(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := one.Close(); err != nil {
+		t.Fatal(err)
+	}
+	batch, _, err := OpenJournal(batchPath, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := batch.appendBatch([]ShardResult{results[0], foreign, results[1], results[2]})
+	for i, err := range errs {
+		if (err != nil) != (i == 1) {
+			t.Fatalf("record %d: %v (only the foreign record 1 should fail)", i, err)
+		}
+	}
+	if err := batch.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(onePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(batchPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("group commit wrote %d bytes that differ from %d bytes of one-by-one appends", len(got), len(want))
+	}
+
+	dead, replayed, err := OpenJournal(batchPath, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dead.Close()
+	if len(replayed) != len(results) {
+		t.Fatalf("replayed %d records, want %d", len(replayed), len(results))
+	}
+	dead.mu.Lock()
+	dead.f.Close()
+	dead.mu.Unlock()
+	errs = dead.appendBatch(results[:2])
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "journal append") {
+			t.Fatalf("record %d of a failed batch: %v, want the named journal error", i, err)
+		}
+	}
+	if err := dead.Append(results[2]); err != errs[0] {
+		t.Fatalf("append after a failed batch: %v, want the poisoning error %v", err, errs[0])
+	}
+}

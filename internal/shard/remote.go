@@ -23,8 +23,9 @@ type RemoteOptions struct {
 	// frame. 0 means no deadline — shards can legitimately run for a long
 	// time; set it when the workload's per-shard cost is known.
 	ShardTimeout time.Duration
-	// PingTimeout bounds the keepalive ping that revalidates a pooled
-	// connection before reuse (default 2 s).
+	// PingTimeout bounds the keepalive that revalidates a pooled
+	// connection on reuse: writing the ping and the spec behind it, and
+	// reading the pong (default 2 s).
 	PingTimeout time.Duration
 	// Cooldown is how long a worker that failed at the transport level is
 	// skipped before being probed again (default 5 s). Workers are always
@@ -67,10 +68,10 @@ var errDraining = fmt.Errorf("shard: worker is draining")
 // RemotePool manages connections to a static fleet of network workers
 // (Server instances) and multiplexes shards over them: each in-flight
 // shard uses its own connection, idle connections are pooled per worker
-// and revalidated with a keepalive ping before reuse, and a worker that
-// fails at the transport level is put on cooldown so subsequent shards —
-// including Coordinate's retries of the failed shard — prefer healthy
-// workers. It is safe for concurrent use.
+// and revalidated on reuse by a keepalive ping sent in the same write as
+// the spec, and a worker that fails at the transport level is put on
+// cooldown so subsequent shards — including Coordinate's retries of the
+// failed shard — prefer healthy workers. It is safe for concurrent use.
 type RemotePool struct {
 	addrs []string
 	opts  RemoteOptions
@@ -130,35 +131,57 @@ func (p *RemotePool) Runner() Runner {
 		if err != nil {
 			return ShardResult{}, err
 		}
-		wc, err := p.checkout(addr)
+		payload, err := spec.Encode()
 		if err != nil {
-			p.markDown(addr)
 			return ShardResult{}, fmt.Errorf("shard: worker %s: %w", addr, err)
 		}
-		if spec.Network == nil && !wc.sweeps[spec.Sweep] {
-			// The handshake told us this worker's registry; failing fast
-			// keeps a misdeployed fleet from burning retries one timeout
-			// at a time. The connection itself is fine — pool it. Network
-			// sweeps are exempt: they carry their model and need no
-			// registry entry.
-			p.putIdle(addr, wc)
-			return ShardResult{}, fmt.Errorf("shard: worker %s does not register sweep %q", addr, spec.Sweep)
-		}
-		res, err := p.runShard(wc, spec)
-		if err != nil {
-			if _, app := err.(errWorker); app {
-				// An explicit error frame: the request failed but the
-				// worker answered cleanly and the stream sits at a frame
-				// boundary — keep the connection, not the blame.
+		for {
+			wc, pooled, err := p.checkout(addr)
+			if err != nil {
+				p.markDown(addr)
+				return ShardResult{}, fmt.Errorf("shard: worker %s: %w", addr, err)
+			}
+			if spec.Network == nil && !wc.sweeps[spec.Sweep] {
+				// The handshake told us this worker's registry; failing
+				// fast keeps a misdeployed fleet from burning retries one
+				// timeout at a time. A pooled connection's registry is
+				// only the worker's if the connection is still live, so
+				// it is pinged first. The connection itself is fine —
+				// pool it. Network sweeps are exempt: they carry their
+				// model and need no registry entry.
+				if pooled && p.ping(wc) != nil {
+					wc.c.Close()
+					continue
+				}
 				p.putIdle(addr, wc)
-			} else {
+				return ShardResult{}, fmt.Errorf("shard: worker %s does not register sweep %q", addr, spec.Sweep)
+			}
+			if pooled {
+				if err := p.sendWithKeepalive(wc, payload); err != nil {
+					wc.c.Close() // stale pooled connection; try the next or dial
+					continue
+				}
+			} else if err := p.send(wc, payload); err != nil {
 				wc.c.Close()
 				p.markDown(addr)
+				return ShardResult{}, fmt.Errorf("shard: worker %s: %w", addr, err)
 			}
-			return ShardResult{}, fmt.Errorf("shard: worker %s: %w", addr, err)
+			res, err := p.await(wc)
+			if err != nil {
+				if _, app := err.(errWorker); app {
+					// An explicit error frame: the request failed but the
+					// worker answered cleanly and the stream sits at a
+					// frame boundary — keep the connection, not the blame.
+					p.putIdle(addr, wc)
+				} else {
+					wc.c.Close()
+					p.markDown(addr)
+				}
+				return ShardResult{}, fmt.Errorf("shard: worker %s: %w", addr, err)
+			}
+			p.putIdle(addr, wc)
+			return res, nil
 		}
-		p.putIdle(addr, wc)
-		return res, nil
 	}
 }
 
@@ -206,26 +229,21 @@ func (p *RemotePool) markUp(addr string) {
 	p.mu.Unlock()
 }
 
-// checkout returns a ready connection to addr: a pooled one revalidated
-// by a keepalive ping, or a freshly dialed and handshaken one.
-func (p *RemotePool) checkout(addr string) (*workerConn, error) {
-	for {
-		p.mu.Lock()
-		conns := p.idle[addr]
-		var wc *workerConn
-		if n := len(conns); n > 0 {
-			wc, p.idle[addr] = conns[n-1], conns[:n-1]
-		}
-		p.mu.Unlock()
-		if wc == nil {
-			break
-		}
-		if err := p.ping(wc); err == nil {
-			return wc, nil
-		}
-		wc.c.Close() // stale pooled connection; try the next or dial
+// checkout returns a connection to addr: a pooled one (pooled=true),
+// not yet revalidated — its keepalive rides with the spec — or a freshly
+// dialed and handshaken one.
+func (p *RemotePool) checkout(addr string) (wc *workerConn, pooled bool, err error) {
+	p.mu.Lock()
+	conns := p.idle[addr]
+	if n := len(conns); n > 0 {
+		wc, p.idle[addr] = conns[n-1], conns[:n-1]
 	}
-	return p.dial(addr)
+	p.mu.Unlock()
+	if wc != nil {
+		return wc, true, nil
+	}
+	wc, err = p.dial(addr)
+	return wc, false, err
 }
 
 func (p *RemotePool) dial(addr string) (*workerConn, error) {
@@ -276,6 +294,10 @@ func (p *RemotePool) ping(wc *workerConn) error {
 	if err := wc.w.Flush(); err != nil {
 		return err
 	}
+	return readPong(wc)
+}
+
+func readPong(wc *workerConn) error {
 	t, _, err := readFrame(wc.r)
 	if err != nil {
 		return err
@@ -286,23 +308,55 @@ func (p *RemotePool) ping(wc *workerConn) error {
 	return nil
 }
 
-// runShard performs one spec→result round trip on an established
-// connection.
-func (p *RemotePool) runShard(wc *workerConn, spec ShardSpec) (ShardResult, error) {
-	payload, err := spec.Encode()
-	if err != nil {
-		return ShardResult{}, err
-	}
-	if p.opts.ShardTimeout > 0 {
-		wc.c.SetDeadline(time.Now().Add(p.opts.ShardTimeout))
-		defer wc.c.SetDeadline(time.Time{})
+// sendWithKeepalive sends the spec on a pooled connection behind a
+// keepalive ping, both in one flush, and reads the pong within
+// PingTimeout. An error means the connection is stale: the worker may or
+// may not have the spec, and the caller drops the connection and sends
+// the spec again elsewhere — a shard is a pure function of its spec, so
+// a duplicate run is harmless. On success the result is read under
+// ShardTimeout, if set.
+func (p *RemotePool) sendWithKeepalive(wc *workerConn, payload []byte) error {
+	wc.c.SetDeadline(time.Now().Add(p.opts.PingTimeout))
+	if err := writeFrame(wc.w, framePing, nil); err != nil {
+		return err
 	}
 	if err := writeFrame(wc.w, frameSpec, payload); err != nil {
-		return ShardResult{}, err
+		return err
 	}
 	if err := wc.w.Flush(); err != nil {
-		return ShardResult{}, err
+		return err
 	}
+	if err := readPong(wc); err != nil {
+		return err
+	}
+	p.setShardDeadline(wc)
+	return nil
+}
+
+// send sends the spec on a freshly dialed connection, under
+// ShardTimeout if set.
+func (p *RemotePool) send(wc *workerConn, payload []byte) error {
+	p.setShardDeadline(wc)
+	if err := writeFrame(wc.w, frameSpec, payload); err != nil {
+		return err
+	}
+	return wc.w.Flush()
+}
+
+// setShardDeadline bounds the rest of the shard's round trip by
+// ShardTimeout, or lifts the deadline when there is none.
+func (p *RemotePool) setShardDeadline(wc *workerConn) {
+	var deadline time.Time
+	if p.opts.ShardTimeout > 0 {
+		deadline = time.Now().Add(p.opts.ShardTimeout)
+	}
+	wc.c.SetDeadline(deadline)
+}
+
+// await reads the worker's answer to the spec just sent and clears the
+// connection's deadline.
+func (p *RemotePool) await(wc *workerConn) (ShardResult, error) {
+	defer wc.c.SetDeadline(time.Time{})
 	t, body, err := readFrame(wc.r)
 	if err != nil {
 		return ShardResult{}, err

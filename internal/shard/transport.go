@@ -39,8 +39,12 @@ import (
 // result frame (ShardResult JSON), error frame (message text), or drain
 // frame (the server is shutting down; re-dispatch elsewhere). Ping frames
 // may be sent by the client at any point between requests and are echoed
-// back as pongs — the keepalive that lets a pooled connection be
-// revalidated before reuse.
+// back as pongs — the keepalive that revalidates a pooled connection on
+// reuse. RemotePool pipelines it: the ping and the spec behind it leave
+// in one write, the pong must arrive within PingTimeout, and only then is
+// the result awaited. A connection that fails the ping is dropped and the
+// spec is sent again on another; freshly dialed connections skip the
+// ping, the handshake having just proved them live.
 
 // ProtocolVersion is the version of the TCP framing. It is independent of
 // FormatVersion (the JSON payload format): either may change without the

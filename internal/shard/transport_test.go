@@ -657,3 +657,161 @@ func (l *flakyListener) Accept() (net.Conn, error) {
 	}
 	return l.wrap(c), nil
 }
+
+// writeCountingConn counts the client's Write calls on a connection.
+type writeCountingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c *writeCountingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestRemoteRunnerPipelinesKeepaliveWithSpec: on a pooled connection the
+// keepalive ping and the spec leave in one client write, so reuse costs
+// no extra round trip before the spec is on its way. A freshly dialed
+// connection writes the hello and then the spec, without a ping.
+func TestRemoteRunnerPipelinesKeepaliveWithSpec(t *testing.T) {
+	srv := startTestServer(t, testRegistry())
+	var writes, dials atomic.Int64
+	pool, err := NewRemotePool([]string{srv.Addr().String()}, RemoteOptions{
+		Dial: func(addr string) (net.Conn, error) {
+			dials.Add(1)
+			c, err := net.DialTimeout("tcp", addr, time.Second)
+			if err != nil {
+				return nil, err
+			}
+			return &writeCountingConn{Conn: c, writes: &writes}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	spec := testSweepSpec()
+	for i, rg := range []Range{{0, 40}, {40, 90}, {90, 150}, {150, 200}} {
+		before := writes.Load()
+		if _, err := pool.Runner()(spec.Shard(rg.Lo, rg.Hi)); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(1) // ping + spec, one flush
+		if i == 0 {
+			want = 2 // hello, then spec
+		}
+		if got := writes.Load() - before; got != want {
+			t.Fatalf("shard %d: %d client writes, want %d", i, got, want)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("4 sequential shards used %d connections, want 1", n)
+	}
+}
+
+// stallConn is a worker-side connection that, once stalled, keeps
+// draining the client's bytes (so its writes succeed) but never delivers
+// one to the server: a worker that has stopped answering without closing
+// the connection.
+type stallConn struct {
+	net.Conn
+	stalled *atomic.Bool
+}
+
+func (c *stallConn) Read(p []byte) (int, error) {
+	for {
+		n, err := c.Conn.Read(p)
+		if err != nil || !c.stalled.Load() {
+			return n, err
+		}
+	}
+}
+
+// TestRemoteRunnerDropsStalledPooledConnection: a pooled connection whose
+// worker stops answering fails its keepalive within PingTimeout and is
+// dropped; the shard then either finishes on a freshly dialed connection
+// or, when the worker answers nothing at all, fails with a named error
+// instead of hanging.
+func TestRemoteRunnerDropsStalledPooledConnection(t *testing.T) {
+	const pingTimeout = 200 * time.Millisecond
+	const dialTimeout = 300 * time.Millisecond
+	reg := testRegistry()
+	spec := testSweepSpec()
+	for _, tc := range []struct {
+		name         string
+		stallRedials bool // whether connections dialed after the stall stall too
+	}{
+		{"fresh connection finishes the shard", false},
+		{"silent worker fails the shard", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stall atomic.Bool
+			var accepted atomic.Int64
+			srv := Serve(&flakyListener{Listener: ln, wrap: func(c net.Conn) net.Conn {
+				flag := &stall
+				if accepted.Add(1) > 1 && !tc.stallRedials {
+					flag = new(atomic.Bool)
+				}
+				return &stallConn{Conn: c, stalled: flag}
+			}}, reg)
+			defer srv.Close()
+			pool := testPool(t, RemoteOptions{PingTimeout: pingTimeout, DialTimeout: dialTimeout}, srv)
+
+			if _, err := pool.Runner()(spec.Shard(0, 10)); err != nil {
+				t.Fatal(err)
+			}
+			stall.Store(true)
+			sp := spec.Shard(10, 60)
+			start := time.Now()
+			res, err := pool.Runner()(sp)
+			elapsed := time.Since(start)
+
+			if tc.stallRedials {
+				if err == nil {
+					t.Fatal("shard on a silent worker succeeded")
+				}
+				if !strings.Contains(err.Error(), "shard: worker "+srv.Addr().String()+": handshake:") {
+					t.Fatalf("error does not name the failed redial: %v", err)
+				}
+				if limit := pingTimeout + dialTimeout + time.Second; elapsed > limit {
+					t.Fatalf("silent worker held the shard %v, want under %v", elapsed, limit)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("shard did not finish on a fresh connection: %v", err)
+			}
+			if elapsed < pingTimeout || elapsed > pingTimeout+time.Second {
+				t.Fatalf("stalled connection dropped after %v, want PingTimeout (%v) plus a fresh round trip", elapsed, pingTimeout)
+			}
+			want, err := Run(sp, reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotEnc, err := res.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantEnc, err := want.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotEnc, wantEnc) {
+				t.Fatal("shard finished on the fresh connection differs from a local run")
+			}
+			// The stalled connection is gone from the pool: the next shard
+			// reuses the fresh one, without another dial.
+			if _, err := pool.Runner()(spec.Shard(60, 100)); err != nil {
+				t.Fatal(err)
+			}
+			if n := accepted.Load(); n != 2 {
+				t.Fatalf("worker accepted %d connections, want 2 (the stalled one and its replacement)", n)
+			}
+		})
+	}
+}

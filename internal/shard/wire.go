@@ -439,11 +439,15 @@ func DecodeSpec(data []byte) (ShardSpec, error) {
 }
 
 // DecodeResult parses and validates a ShardResult, rejecting unknown
-// format versions and unknown fields.
+// format versions and unknown fields. Messages in the exact form Encode
+// emits take a reflection-free parser (codec.go); anything else, and
+// every error, goes through the strict standard-library decode.
 func DecodeResult(data []byte) (ShardResult, error) {
-	var r ShardResult
-	if err := decodeStrict(data, &r); err != nil {
-		return r, err
+	r, ok := decodeCanonical(data)
+	if !ok {
+		if err := decodeStrict(data, &r); err != nil {
+			return r, err
+		}
 	}
 	if err := r.Validate(); err != nil {
 		return r, err
