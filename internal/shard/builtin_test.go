@@ -36,6 +36,28 @@ func TestGoldenFig3NumericResult(t *testing.T) {
 	checkGolden(t, "shardresult_fig3sweep.v3.json", enc)
 }
 
+// TestGoldenSyntheticDistResult pins the lambda/synthetic-dist ShardResult
+// bytes — the Figure 5 workload's own trial streams on the synthetic
+// model, through the mc dist runner, the race loop and the compiled
+// kernel — so a change to any of those layers that moves one bit of a
+// (seed, trial-index) stream fails here.
+func TestGoldenSyntheticDistResult(t *testing.T) {
+	spec := ShardSpec{
+		Version: FormatVersion, Sweep: SweepLambdaSyntheticDist,
+		Grid: []float64{1, 4, 10}, Trials: 12, Lo: 0, Hi: 12, Seed: 11,
+		Outcomes: 2, Dist: true,
+	}
+	res, err := Run(spec, Builtin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := res.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "shardresult_synthetic_dist.v3.json", enc)
+}
+
 // TestFig3NumericSweepAgreesWithTallyTrialForTrial: the numeric Figure 3
 // sweep consumes exactly the tally sweep's trial streams, so the two
 // agree trial for trial — the numeric Mean times the trial count *is* the

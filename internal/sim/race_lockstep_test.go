@@ -29,6 +29,18 @@ x -> y @ 0.7
 4 x ->  @ 0.01
 x + y -> 2 y @ 0.2
 `),
+		// The Figure 4 log module's 2x1 + a shape, in species order
+		// (x before y), next to its reverse-order twin x + 2 y.
+		chem.MustParseNetwork(`
+x = 30
+y = 10
+-> x @ 2
+-> y @ 1
+x -> @ 0.05
+y -> @ 0.05
+2 x + y -> y @ 0.002
+x + 2 y -> x @ 0.003
+`),
 	}
 	for ni, net := range nets {
 		for seed := uint64(1); seed <= 20; seed++ {
