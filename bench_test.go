@@ -208,6 +208,32 @@ func BenchmarkEngineOptimizedDirectLambda(b *testing.B) {
 	lambdaEventBench(b, func(n *chem.Network, g *rng.PCG) sim.Engine { return sim.NewOptimizedDirect(n, g) })
 }
 
+// BenchmarkEngineOptimizedDirectRaceLambda times the Figure 5 trial loop
+// itself: sim.RunThresholdRace (OptimizedDirect's fused jump-chain race)
+// on the MOI-4 kernel from lambda.Model.EngineFactoryAt, one reseeded
+// race per iteration, in ns per reaction event.
+func BenchmarkEngineOptimizedDirectRaceLambda(b *testing.B) {
+	const moi = 4
+	model := lambda.SyntheticModel()
+	st0 := model.Net.InitialState()
+	st0.Set(model.MOI, moi)
+	lysis := sim.SpeciesThreshold{Species: model.Cro2, Count: model.Thresholds.Cro2}
+	lysogeny := sim.SpeciesThreshold{Species: model.CI2, Count: model.Thresholds.CI2}
+	gen := rng.New(1)
+	eng := model.EngineFactoryAt(moi)(gen)
+	var events int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gen.Reseed(1, uint64(i))
+		eng.Reset(st0, 0)
+		events += sim.RunThresholdRace(eng, lysis, lysogeny, 5_000_000).Steps
+	}
+	b.StopTimer()
+	if events > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	}
+}
+
 func BenchmarkEngineNextReactionLambda(b *testing.B) {
 	lambdaEventBench(b, func(n *chem.Network, g *rng.PCG) sim.Engine { return sim.NewNextReaction(n, g) })
 }

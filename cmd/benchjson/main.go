@@ -7,7 +7,10 @@
 //	go test -bench . -count 5 | benchjson -pr 5 > BENCH_5.json
 //
 // Repetitions of the same benchmark (from -count) are aggregated into
-// mean/min/max per metric. Both the built-in ns/op series and every custom
+// mean/min/max per metric. The env block records the host's goos, goarch
+// and cpu lines, the GOMAXPROCS the results ran at (from the -N name
+// suffix, 1 when absent; a -cpu list gives a comma-separated list) and
+// the Go version benchjson was built with. Both the built-in ns/op series and every custom
 // metric (trials/s, speedup-vs-optimized, lysogeny%, ns/event, ...) are
 // captured. Lines that are not benchmark results (headers, PASS/ok) carry
 // the run's environment and are folded into the header fields.
@@ -20,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -94,7 +98,8 @@ func Parse(r io.Reader, pr int) (*Report, error) {
 	type key struct{ bench, metric string }
 	accs := map[key]*accumulator{}
 	samples := map[string]int{}
-	env := map[string]string{}
+	env := map[string]string{"go": runtime.Version()}
+	procs := map[int]bool{} // GOMAXPROCS values seen (a -cpu list gives several)
 
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -116,15 +121,17 @@ func Parse(r io.Reader, pr int) (*Report, error) {
 		}
 		name := strings.TrimPrefix(fields[0], "Benchmark")
 		// Strip the -GOMAXPROCS suffix go test appends when procs > 1.
+		nprocs := 1
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
+			if n, err := strconv.Atoi(name[i+1:]); err == nil {
+				name, nprocs = name[:i], n
 			}
 		}
 		if _, err := strconv.Atoi(fields[1]); err != nil {
 			continue // not an iteration count: not a result line
 		}
 		samples[name]++
+		procs[nprocs] = true
 		// Remaining fields come in (value, unit) pairs.
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -145,6 +152,8 @@ func Parse(r io.Reader, pr int) (*Report, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("no benchmark result lines found in input")
 	}
+
+	env["gomaxprocs"] = joinSorted(procs)
 
 	report := &Report{
 		Schema:     "stochsynth-bench/v1",
@@ -175,4 +184,18 @@ func Parse(r io.Reader, pr int) (*Report, error) {
 		report.Benchmarks[name] = b
 	}
 	return report, nil
+}
+
+// joinSorted renders a set of ints as an ascending comma-separated list.
+func joinSorted(set map[int]bool) string {
+	vals := make([]int, 0, len(set))
+	for v := range set {
+		vals = append(vals, v)
+	}
+	sort.Ints(vals)
+	parts := make([]string, len(vals))
+	for i, v := range vals {
+		parts[i] = strconv.Itoa(v)
+	}
+	return strings.Join(parts, ",")
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -28,6 +29,13 @@ func TestParseAggregatesRepetitions(t *testing.T) {
 	}
 	if report.Env["cpu"] == "" || report.Env["goos"] != "linux" {
 		t.Fatalf("environment not captured: %v", report.Env)
+	}
+	// One line ran at -8, the others without a suffix (GOMAXPROCS 1).
+	if got := report.Env["gomaxprocs"]; got != "1,8" {
+		t.Fatalf("gomaxprocs = %q, want \"1,8\"", got)
+	}
+	if got := report.Env["go"]; got != runtime.Version() {
+		t.Fatalf("go = %q, want %q", got, runtime.Version())
 	}
 
 	reuse := report.Benchmarks["TrialsNaturalOptimizedReuse"]
@@ -68,4 +76,18 @@ func keys(m map[string]*Bench) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+func TestParseRecordsSingleGOMAXPROCS(t *testing.T) {
+	const in = "BenchmarkEngineDirectLambda-2 \t 10 \t 100 ns/op\nBenchmarkEngineOptimizedDirectLambda-2 \t 10 \t 90 ns/op\n"
+	report, err := Parse(strings.NewReader(in), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := report.Env["gomaxprocs"]; got != "2" {
+		t.Fatalf("gomaxprocs = %q, want \"2\"", got)
+	}
+	if report.Benchmarks["EngineDirectLambda"] == nil {
+		t.Fatalf("suffix not stripped: %v", keys(report.Benchmarks))
+	}
 }

@@ -263,3 +263,76 @@ func TestCompileOpcodeClassification(t *testing.T) {
 		}
 	}
 }
+
+// evalRefreshRecord is RefreshInstr's documented formula, evaluated
+// against the pre-fire extended state.
+func evalRefreshRecord(ins RefreshInstr, ext State) float64 {
+	xA := ext[ins.S1] + int64(ins.DA)
+	xB := ext[ins.S2] + int64(ins.DB)
+	fA := xA + int64(ins.Dim)*(xA*(xA-1)>>1-xA)
+	return (ins.Rate * float64(fA)) * float64(xB)
+}
+
+// TestRefreshRecordsMatchPropensity pins every packed refresh record —
+// linear, bilinear and dimer — to Propensity at the post-fire state, bit
+// for bit (math.Float64bits, so a -0 for +0 fails too), on random states
+// of random networks and of a hand-built one whose mixed-order laws
+// 2 a + b and a + 2 b must stay tail records: the record formula
+// multiplies as (Rate·fA)·xB, while the binomial walk multiplies the
+// terms in species order.
+func TestRefreshRecordsMatchPropensity(t *testing.T) {
+	fixed := NewNetwork()
+	a := fixed.AddSpecies("a")
+	b := fixed.AddSpecies("b")
+	c := fixed.AddSpecies("c")
+	fixed.AddReaction("src", nil, []Term{{a, 1}}, 3)
+	fixed.AddReaction("lin", []Term{{a, 1}}, []Term{{b, 1}}, 0.5)
+	fixed.AddReaction("bi", []Term{{a, 1}, {b, 1}}, []Term{{c, 1}}, 0.01)
+	fixed.AddReaction("dim", []Term{{b, 2}}, []Term{{c, 1}}, 0.02)
+	fixed.AddReaction("2a+b", []Term{{a, 2}, {b, 1}}, []Term{{c, 2}}, 0.003)
+	fixed.AddReaction("a+2b", []Term{{a, 1}, {b, 2}}, []Term{{c, 1}}, 0.004)
+	fixed.AddReaction("deg", []Term{{c, 1}}, nil, 0.1)
+
+	comp := Compile(fixed)
+	for _, ins := range comp.Refs {
+		if op := comp.Op[ins.J]; op != OpLinear && op != OpBilinear && op != OpDimer {
+			t.Errorf("%s (%v) has a packed refresh record", comp.Reaction(int(ins.J)).Label, op)
+		}
+	}
+	inTails := map[string]bool{}
+	for _, ins := range comp.Tails {
+		inTails[comp.Reaction(int(ins.J)).Label] = true
+	}
+	if !inTails["2a+b"] || !inTails["a+2b"] {
+		t.Errorf("mixed-order generic laws missing from the tail records: %v", inTails)
+	}
+
+	rng := rand.New(rand.NewSource(14))
+	nets := []*Network{fixed}
+	for i := 0; i < 100; i++ {
+		nets = append(nets, randomNetwork(rng))
+	}
+	for ni, net := range nets {
+		comp := Compile(net)
+		for trial := 0; trial < 20; trial++ {
+			st := randomState(rng, net.NumSpecies())
+			ext := comp.NewStateVec()
+			copy(ext, st)
+			for ch := 0; ch < comp.NumChannels(); ch++ {
+				if !comp.CanFire(ch, st) {
+					continue
+				}
+				post := st.Clone()
+				comp.Apply(ch, post)
+				for _, ins := range comp.Refs[comp.RefStart[ch]:comp.RefStart[ch+1]] {
+					got := evalRefreshRecord(ins, ext)
+					want := comp.Propensity(int(ins.J), post)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("net %d ch %d: record for channel %d (%v) = %v, Propensity = %v\npre-fire state %v",
+							ni, ch, ins.J, comp.Op[ins.J], got, want, st)
+					}
+				}
+			}
+		}
+	}
+}

@@ -97,8 +97,8 @@ func RunBatchRangeWith[E any](cfg Config, lo, hi, k int, newBatch func() E, runB
 				idx = idx[:0]
 				return true
 			}
-			// Static striping, as RunRangeWith: worker w owns trial indices
-			// lo+w, lo+w+workers, …, grouped into chunks of up to k.
+			// Static striping: worker w owns trial indices lo+w,
+			// lo+w+workers, …, grouped into chunks of up to k.
 			for i := lo + w; i < hi; i += workers {
 				idx = append(idx, i)
 				if len(idx) == k {

@@ -2,11 +2,12 @@
 // responses, exactly as the paper does ("Monte Carlo simulations with
 // 100,000 trials were performed").
 //
-// Trials run in parallel on a worker pool, but every trial draws its
-// randomness from its own rng stream derived from (seed, trial index), so
-// results are bit-for-bit reproducible regardless of scheduling and worker
-// count. Outcome tallies come with Wilson confidence intervals, and Sweep
-// drives a family of runs across a parameter range (the paper's γ and MOI
+// Trials run in parallel on a worker pool whose workers claim the next
+// trial index as they free up, but every trial draws its randomness from
+// its own rng stream derived from (seed, trial index), so results are
+// bit-for-bit reproducible regardless of scheduling and worker count.
+// Outcome tallies come with Wilson confidence intervals, and Sweep drives
+// a family of runs across a parameter range (the paper's γ and MOI
 // sweeps).
 //
 // # Engine reuse
@@ -15,8 +16,8 @@
 // construction to the trial closure, which is simple but allocates the
 // engine's propensity vectors, dependency graph and state clones once per
 // trial. For hot paths, RunWith and RunNumericWith amortise that setup:
-// each worker builds one engine via a factory and reuses it across its
-// whole stripe of trials, repositioning its generator in place
+// each worker builds one engine via a factory and reuses it across all
+// the trials it claims, repositioning its generator in place
 // (rng.PCG.Reseed) so the trial→stream mapping — and hence every tallied
 // result — is bit-for-bit identical to the per-trial-engine path. Run and
 // RunNumeric are themselves thin wrappers over the *With variants.

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"stochsynth/internal/rng"
 )
@@ -23,9 +24,11 @@ func recoverTrialPanic(dst *string) {
 
 // RunWith executes cfg.Trials independent trials with per-worker engine
 // reuse: each worker calls newEngine once to build its simulation engine
-// (or any other per-worker resource) and then runs its whole stripe of
-// trials through classify on that one engine, instead of allocating
-// propensity vectors, dependency graphs and state clones on every trial.
+// (or any other per-worker resource) and then runs every trial it claims
+// through classify on that one engine, instead of allocating propensity
+// vectors, dependency graphs and state clones on every trial. Workers
+// claim the next unrun trial index as they free up, so uneven trial
+// lengths do not leave a worker idle while another finishes a stripe.
 //
 // The generator handed to newEngine is owned by the worker; before each
 // trial it is repositioned in place (rng.PCG.Reseed) onto the stream
@@ -52,7 +55,9 @@ func RunWith[E any](cfg Config, newEngine func(gen *rng.PCG) E, classify func(en
 // drawn from the stream (cfg.Seed, i) exactly as in RunWith, so the
 // tallies of any disjoint partition of [0, n) sum to the tallies of the
 // full run bit-for-bit — the primitive behind distributed sweep sharding
-// (internal/shard). cfg.Trials is ignored; the range defines the work.
+// (internal/shard). Workers claim trials as in RunWith; tallies are
+// integer sums, so they do not depend on which worker ran which trial.
+// cfg.Trials is ignored; the range defines the work.
 //
 // An empty range (lo == hi) is valid and yields zero tallies.
 func RunRangeWith[E any](cfg Config, lo, hi int, newEngine func(gen *rng.PCG) E, classify func(eng E) int) Result {
@@ -67,55 +72,30 @@ func RunRangeWith[E any](cfg Config, lo, hi int, newEngine func(gen *rng.PCG) E,
 		return res
 	}
 	workers := rangeWorkers(cfg.Workers, hi-lo)
-
-	type tally struct {
-		counts []int64
-		none   int64
-		err    string
+	tallies := make([][]int64, workers)
+	none := make([]int64, workers)
+	for w := range tallies {
+		tallies[w] = make([]int64, cfg.Outcomes)
 	}
-	tallies := make([]tally, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		tallies[w].counts = make([]int64, cfg.Outcomes)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer recoverTrialPanic(&tallies[w].err)
-			gen := rng.NewStream(cfg.Seed, uint64(w))
-			eng := newEngine(gen)
-			// Static striping keeps the trial→stream mapping fixed, so
-			// the aggregate is independent of scheduling.
-			for i := lo + w; i < hi; i += workers {
-				gen.Reseed(cfg.Seed, uint64(i))
-				outcome := classify(eng)
-				switch {
-				case outcome == None:
-					tallies[w].none++
-				case outcome >= 0 && outcome < cfg.Outcomes:
-					tallies[w].counts[outcome]++
-				default:
-					// Record the bug and stop this worker; panicking here
-					// would crash the process from a non-caller goroutine.
-					tallies[w].err = fmt.Sprintf(
-						"mc: classifier returned %d for trial %d, want [0,%d) or None",
-						outcome, i, cfg.Outcomes)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, t := range tallies {
-		if t.err != "" {
-			panic(t.err)
+	runClaimed(cfg.Seed, lo, hi, workers, newEngine, func(w, i int, eng E) string {
+		switch outcome := classify(eng); {
+		case outcome == None:
+			none[w]++
+		case outcome >= 0 && outcome < cfg.Outcomes:
+			tallies[w][outcome]++
+		default:
+			return fmt.Sprintf("mc: classifier returned %d for trial %d, want [0,%d) or None",
+				outcome, i, cfg.Outcomes)
 		}
-	}
-
-	for _, t := range tallies {
-		for i, c := range t.counts {
+		return ""
+	})
+	// Integer sums: the tallies are the same whichever worker ran which
+	// trial.
+	for w, counts := range tallies {
+		for i, c := range counts {
 			res.Counts[i] += c
 		}
-		res.None += t.none
+		res.None += none[w]
 	}
 	return res
 }
@@ -144,30 +124,61 @@ func RunNumericRangeWith[E any](cfg Config, lo, hi int, newEngine func(gen *rng.
 	if lo == hi {
 		return nil
 	}
-	workers := rangeWorkers(cfg.Workers, hi-lo)
 	values := make([]float64, hi-lo)
-	panics := make([]string, workers)
+	runClaimed(cfg.Seed, lo, hi, rangeWorkers(cfg.Workers, hi-lo), newEngine, func(_, i int, eng E) string {
+		values[i-lo] = measure(eng)
+		return ""
+	})
+	return NewMoments(lo, values)
+}
+
+// runClaimed runs the trials [lo, hi) on workers goroutines. Each worker
+// builds one engine with newEngine and then claims trial indices from a
+// shared counter until the range is exhausted; before trial i its
+// generator is repositioned (rng.PCG.Reseed) onto the stream (seed, i),
+// so what a trial computes does not depend on which worker claimed it.
+// Claiming instead of a fixed stripe keeps every worker busy until the
+// range runs out, however unevenly trial lengths fall.
+//
+// trial runs trial i on worker w's engine and returns "" or an error
+// message, which stops that worker. After every worker has stopped, the
+// first message in worker order — or a panic escaping a trial body — is
+// re-raised as a panic on the caller's goroutine. Callers write results
+// only into per-worker integer tallies or per-trial slots, which keeps
+// the aggregate independent of scheduling.
+func runClaimed[E any](seed uint64, lo, hi, workers int, newEngine func(gen *rng.PCG) E, trial func(w, i int, eng E) string) {
+	var next atomic.Int64
+	next.Store(int64(lo))
+	errs := make([]string, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			defer recoverTrialPanic(&panics[w])
-			gen := rng.NewStream(cfg.Seed, uint64(w))
+			defer recoverTrialPanic(&errs[w])
+			gen := rng.NewStream(seed, uint64(w))
 			eng := newEngine(gen)
-			for i := lo + w; i < hi; i += workers {
-				gen.Reseed(cfg.Seed, uint64(i))
-				values[i-lo] = measure(eng)
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= hi {
+					return
+				}
+				gen.Reseed(seed, uint64(i))
+				if msg := trial(w, i, eng); msg != "" {
+					// Record the bug and stop this worker; panicking here
+					// would crash the process from a non-caller goroutine.
+					errs[w] = msg
+					return
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	for _, p := range panics {
-		if p != "" {
-			panic(p)
+	for _, e := range errs {
+		if e != "" {
+			panic(e)
 		}
 	}
-	return NewMoments(lo, values)
 }
 
 // rangeWorkers resolves the worker count for a range of n trials.

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math"
+	"math/bits"
+
 	"stochsynth/internal/chem"
 )
 
@@ -69,6 +72,15 @@ func (o *OptimizedDirect) raceThresholds(a, b SpeciesThreshold, maxSteps int64) 
 	// total and stale live in registers across the event loop; they are
 	// written back to the engine at every exit and around recomputeAll.
 	total, stale := o.total, o.stale
+	// live marks the channels a narrow kernel's selection scan visits:
+	// bit c is clear only when prop[c] is +0 (narrow kernels have fewer
+	// than 64 channels, chem.BlockThreshold). Skipping a zero channel
+	// skips an acc += +0 that leaves the fold-left sum unchanged, and the
+	// first channel with target < acc always has a positive propensity,
+	// so the scan selects exactly the channel the flat scan would. It is
+	// rebuilt after every recomputeAll and kept current, branch-free, by
+	// the refresh loops. Wide kernels keep it too but never read it.
+	live := liveMask(o.prop)
 	// Non-escaping closure: stays on the stack (TestThresholdRaceZeroAllocs
 	// pins the whole race at zero allocations).
 	sync := func(steps int64, reason StopReason) RunResult { //stochlint:allow alloc
@@ -86,15 +98,19 @@ func (o *OptimizedDirect) raceThresholds(a, b SpeciesThreshold, maxSteps int64) 
 			if total <= 0 {
 				return sync(steps, StopQuiescent)
 			}
+			live = liveMask(o.prop)
 		}
 		target := gen.Float64() * total
 		fired := -1
 		if sums == nil {
-			// Narrow kernel: flat fold-left scan, inlined (the lambda
-			// races' hottest instruction sequence).
+			// Narrow kernel: the flat fold-left scan over the live
+			// channels, inlined (the lambda races' hottest instruction
+			// sequence).
 			acc := 0.0
-			for c, p := range o.prop {
-				acc += p
+			prop := o.prop
+			for m := live; m != 0; m &= m - 1 {
+				c := bits.TrailingZeros64(m)
+				acc += prop[c]
 				if target < acc {
 					fired = c
 					break
@@ -111,6 +127,7 @@ func (o *OptimizedDirect) raceThresholds(a, b SpeciesThreshold, maxSteps int64) 
 			if total <= 0 {
 				return sync(steps, StopQuiescent)
 			}
+			live = liveMask(o.prop)
 			target = gen.Float64() * total
 			fired = o.selectChannel(target)
 			if fired < 0 {
@@ -130,6 +147,7 @@ func (o *OptimizedDirect) raceThresholds(a, b SpeciesThreshold, maxSteps int64) 
 			p := (ins.Rate * float64(fA)) * float64(xB)
 			total += p - prop[ins.J]
 			prop[ins.J] = p
+			live = setLive(live, ins.J, p)
 		}
 		for _, ins := range comp.FireDelta[comp.FireDeltaStart[fired]:comp.FireDeltaStart[fired+1]] {
 			st[ins.S] += ins.D
@@ -139,6 +157,7 @@ func (o *OptimizedDirect) raceThresholds(a, b SpeciesThreshold, maxSteps int64) 
 				p := comp.Propensity(int(ins.J), st)
 				total += p - prop[ins.J]
 				prop[ins.J] = p
+				live = setLive(live, ins.J, p)
 			}
 		}
 		if sums != nil {
@@ -152,12 +171,38 @@ func (o *OptimizedDirect) raceThresholds(a, b SpeciesThreshold, maxSteps int64) 
 			o.total = total
 			o.recomputeAll()
 			total, stale = o.total, 0
+			live = liveMask(o.prop)
 		}
 		steps++
 		if st[a.Species] >= a.Count || st[b.Species] >= b.Count {
 			return sync(steps, StopPredicate)
 		}
 	}
+}
+
+// liveMask returns the live-channel mask of a narrow kernel's
+// propensities: bit c set iff prop[c] is not +0.
+//
+//stochlint:noalloc
+func liveMask(prop []float64) uint64 {
+	var live uint64
+	for c, p := range prop {
+		live = setLive(live, int32(c), p)
+	}
+	return live
+}
+
+// setLive sets bit c of live iff p is not +0 and clears it otherwise,
+// without a branch. Propensities are never negative, so a clear bit means
+// a zero propensity. Only narrow kernels read the mask; on wide ones,
+// whose channel indices wrap at 64, it is dead.
+//
+//stochlint:noalloc
+func setLive(live uint64, c int32, p float64) uint64 {
+	b := math.Float64bits(p)
+	nz := (b | -b) >> 63 // 1 iff b != 0
+	sh := uint(c) & 63
+	return live&^(1<<sh) | nz<<sh
 }
 
 // raceThresholds implements thresholdRacer for Direct: full recompute per

@@ -154,8 +154,8 @@ type (
 var MonteCarlo = mc.Run
 
 // MonteCarloWith runs independent trials with per-worker engine reuse:
-// newEngine is called once per worker, and classify runs every trial of
-// that worker's stripe on the same engine (reseeded per trial), avoiding
+// newEngine is called once per worker, and classify runs every trial that
+// worker claims on the same engine (reseeded per trial), avoiding
 // per-trial construction of propensity vectors and dependency graphs.
 // Results are bit-for-bit identical to the per-trial-engine path.
 func MonteCarloWith[E any](cfg MCConfig, newEngine func(*RNG) E, classify func(E) int) MCResult {
