@@ -7,13 +7,14 @@
 //	go test -bench . -count 5 | benchjson -pr 5 > BENCH_5.json
 //
 // Repetitions of the same benchmark (from -count) are aggregated into
-// mean/min/max per metric. The env block records the host's goos, goarch
-// and cpu lines, the GOMAXPROCS the results ran at (from the -N name
-// suffix, 1 when absent; a -cpu list gives a comma-separated list) and
-// the Go version benchjson was built with. Both the built-in ns/op series and every custom
-// metric (trials/s, speedup-vs-optimized, lysogeny%, ns/event, ...) are
-// captured. Lines that are not benchmark results (headers, PASS/ok) carry
-// the run's environment and are folded into the header fields.
+// mean/min/max per metric. Both the built-in ns/op series and every
+// custom metric (trials/s, speedup-vs-optimized, lysogeny%, ns/event, ...)
+// are captured. Lines that are not benchmark results (headers, PASS/ok)
+// carry the run's environment and are folded into the header fields. The
+// env block records the host's goos, goarch and cpu lines, the GOMAXPROCS
+// the results ran at (from the -N name suffix, 1 when absent; a -cpu list
+// gives a comma-separated list) and the Go version benchjson was built
+// with.
 package main
 
 import (
