@@ -30,7 +30,7 @@ package chem
 // structure only engages at BlockThreshold: every bitwise-pinned stream in
 // the tree (golden wire fixtures, scenario pins, the lambda models) lives
 // far below it, and wide kernels get a new — equally exact — canonical
-// stream shared by every engine and the batched runner.
+// stream shared by every engine.
 
 // BlockThreshold is the channel count at and above which Compile builds the
 // two-level selection structure. Engines pick their selection path by
@@ -186,12 +186,13 @@ func (c *Compiled) SelectChannel(prop []float64, target float64) int {
 // selection blocks: prop and sums after one call are bitwise identical to
 // PropensitiesInto + BlockSumsInto, and the returned grand total is the
 // fold-left sum *over the block sums* — the canonical wide-kernel total
-// every block-path refresher (engines' renormalisation, batch resets)
-// reproduces bitwise. Folding over B ≈ √M block sums instead of flat over
-// M channels breaks the one serial float-add chain that dominates wide
-// full recomputes into B independent in-block chains the CPU pipelines;
-// the association change is invisible below the threshold because narrow
-// kernels (the only ones with pinned golden streams) never build blocks.
+// every block-path refresher (engines' per-event recomputes and
+// renormalisation) reproduces bitwise. Folding over B ≈ √M block sums
+// instead of flat over M channels breaks the one serial float-add chain
+// that dominates wide full recomputes into B independent in-block chains
+// the CPU pipelines; the association change is invisible below the
+// threshold because narrow kernels (the only ones with pinned golden
+// streams) never build blocks.
 //
 //stochlint:noalloc
 func (c *Compiled) PropensitiesBlocksInto(st State, prop, sums []float64) float64 {

@@ -108,17 +108,6 @@ func MergeDist(a, b DistSummary) (DistSummary, error) {
 	return out, nil
 }
 
-// RunDistWith executes cfg.Trials independent trials with per-worker
-// engine reuse (see RunWith) and returns the whole run's distribution
-// summary — the 1-shard special case of RunDistRangeWith. cfg.Outcomes is
-// the first-passage arity; hcfg fixes the histogram layout.
-func RunDistWith[E any](cfg Config, hcfg HistConfig, newEngine func(gen *rng.PCG) E, observe func(eng E) Obs) DistSummary {
-	if cfg.Trials <= 0 {
-		panic("mc: Config.Trials must be positive")
-	}
-	return RunDistRangeWith(cfg, hcfg, 0, cfg.Trials, newEngine, observe)
-}
-
 // RunDistRangeWith executes the trial-index range [lo, hi) of a
 // conceptual run and returns its distribution summary. Trial i draws from
 // the stream (cfg.Seed, i) exactly as in RunRangeWith, so the summaries

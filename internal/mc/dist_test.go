@@ -103,9 +103,6 @@ func TestRunDistRangeWithEmptyRange(t *testing.T) {
 func TestRunDistPanicsOnBadInputs(t *testing.T) {
 	engine := func(gen *rng.PCG) *rng.PCG { return gen }
 	cases := map[string]func(){
-		"zero trials": func() {
-			RunDistWith(Config{Outcomes: 1}, distTestHist, engine, distTestObserve)
-		},
 		"zero outcomes": func() {
 			RunDistRangeWith(Config{}, distTestHist, 0, 1, engine, distTestObserve)
 		},

@@ -14,7 +14,7 @@ import (
 // the foregrounded tally/numeric property tests: for random trial counts
 // and shard partitions (empty and single-trial shards included, merged in
 // random order), every merged summary component — moments, sketch,
-// histogram, first-passage — equals the unsharded mc.RunDistWith bundle
+// histogram, first-passage — equals the unsharded mc.RunDistRangeWith bundle
 // bit-for-bit, checked through the JSON encoding.
 func TestShardedDistMatchesUnshardedBitForBit(t *testing.T) {
 	reg := testRegistry()

@@ -155,7 +155,8 @@ func distOf(pt PointTally) mc.DistSummary {
 
 // DistAt returns grid point i's distribution summary bundle over the
 // covered trials. For a complete result every component is bit-for-bit
-// the single-process mc.RunDistWith bundle of that sweep point.
+// the single-process mc.RunDistRangeWith bundle of that sweep point over
+// its whole trial range.
 func (r ShardResult) DistAt(i int) (mc.DistSummary, error) {
 	if !r.Dist {
 		return mc.DistSummary{}, fmt.Errorf("shard: DistAt on a non-distribution sweep")

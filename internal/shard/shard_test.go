@@ -92,12 +92,13 @@ func testRegistry() *Registry {
 }
 
 // singleProcessDist runs the reference unsharded distribution sweep with
-// mc.RunDistWith, point seeds matching the sharded path.
+// mc.RunDistRangeWith over the whole trial range, point seeds matching
+// the sharded path.
 func singleProcessDist(spec SweepSpec) []mc.DistSummary {
 	out := make([]mc.DistSummary, len(spec.Grid))
 	for i, param := range spec.Grid {
 		cfg := mc.Config{Trials: spec.Trials, Outcomes: spec.Outcomes, Seed: mc.PointSeed(spec.Seed, i)}
-		out[i] = mc.RunDistWith(cfg, testHist,
+		out[i] = mc.RunDistRangeWith(cfg, testHist, 0, spec.Trials,
 			func(gen *rng.PCG) *rng.PCG { return gen },
 			func(gen *rng.PCG) mc.Obs { return testObserve(param, gen) })
 	}
